@@ -48,6 +48,52 @@ void add_zone(ConstraintDatabase* db) {
   CQA_CHECK(st.is_ok());
 }
 
+struct KernelRow {
+  std::string formula;
+  double interp_sec = 0.0;
+  double kernel_sec = 0.0;
+
+  std::string json() const {
+    return "{\"formula\": \"" + formula + "\", \"interpreter_seconds\": " +
+           std::to_string(interp_sec) + ", \"compiled_seconds\": " +
+           std::to_string(kernel_sec) + ", \"kernel_speedup\": " +
+           std::to_string(interp_sec / kernel_sec) + "}";
+  }
+};
+
+// Times the interpreter (mc_count_hits) and the compiled kernel on the
+// same points and checks their hit counts agree exactly.
+KernelRow kernel_row(ConstraintDatabase* db, const char* formula,
+                     const std::vector<std::size_t>& element_vars,
+                     const std::map<std::size_t, Rational>& params,
+                     const std::vector<std::vector<double>>& pts) {
+  KernelRow row;
+  row.formula = formula;
+  auto inlined =
+      db->db().inline_predicates(db->parse(formula).value_or_die())
+          .value_or_die();
+  double t0 = now_seconds();
+  const std::size_t interp_hits =
+      mc_count_hits(inlined, element_vars, params, pts.data(), pts.size())
+          .value_or_die();
+  row.interp_sec = now_seconds() - t0;
+  auto compiled_r = CompiledMembership::compile(inlined, element_vars);
+  CQA_CHECK(compiled_r.is_ok());
+  const auto compiled = std::move(compiled_r).take();
+  auto binding = compiled.bind(params).value_or_die();
+  t0 = now_seconds();
+  const std::size_t kernel_hits =
+      compiled.count_hits(binding, pts.data(), pts.size()).value_or_die();
+  row.kernel_sec = now_seconds() - t0;
+  CQA_CHECK(interp_hits == kernel_hits);  // the differential contract
+  std::printf("  %s\n    interpreter  %.4fs  (%.0f points/sec)\n"
+              "    compiled     %.4fs  (%.0f points/sec, %.1fx)\n",
+              formula, row.interp_sec, pts.size() / row.interp_sec,
+              row.kernel_sec, pts.size() / row.kernel_sec,
+              row.interp_sec / row.kernel_sec);
+  return row;
+}
+
 void print_table() {
   cqa_bench::header(
       "A2: runtime scaling -- work-stealing MC sampling + memo-cache",
@@ -64,46 +110,24 @@ void print_table() {
 
   // Kernel ablation: the eval_qf_double tree walk vs the compiled batch
   // kernel on ONE materialized sample -- the serially-measurable half of
-  // the speedup story (thread scaling is the other half, below). Uses a
-  // multi-atom FO+LIN membership formula so the lane-mask fast path is
-  // what gets measured; FO+POLY atoms fall back to the interpreter per
-  // lane and would measure interpreter-vs-interpreter.
-  auto kernel_phi =
-      db.parse("x + y <= 1 & x - y <= 1/2 & 2*x + 3*y >= a & x <= 3/4")
-          .value_or_die();
-  auto inlined = db.db().inline_predicates(kernel_phi).value_or_die();
+  // the speedup story (thread scaling is the other half, below). One
+  // multi-atom FO+LIN row with a bound parameter, one FO+POLY row on a
+  // quadratic cell with a cross term: both lower into the same table.
   WitnessOperator witness(31337);
   const auto kernel_pts = witness.draw_sample(kSampleSize, 2);
-  const std::map<std::size_t, Rational> kernel_params = {
-      {a, Rational(-1, 4)}};
-  double t0 = now_seconds();
-  const std::size_t interp_hits =
-      mc_count_hits(inlined, {x, y}, kernel_params, kernel_pts.data(),
-                    kernel_pts.size())
-          .value_or_die();
-  const double interp_sec = now_seconds() - t0;
-  auto compiled_r = CompiledMembership::compile(inlined, {x, y});
-  CQA_CHECK(compiled_r.is_ok());
-  const auto compiled = std::move(compiled_r).take();
-  auto binding = compiled.bind(kernel_params).value_or_die();
-  t0 = now_seconds();
-  const std::size_t kernel_hits =
-      compiled.count_hits(binding, kernel_pts.data(), kernel_pts.size())
-          .value_or_die();
-  const double kernel_sec = now_seconds() - t0;
-  CQA_CHECK(interp_hits == kernel_hits);  // the differential contract
   std::printf("membership kernel, M=%zu points:\n", kSampleSize);
-  std::printf("  interpreter  %.4fs  (%.0f points/sec)\n", interp_sec,
-              kSampleSize / interp_sec);
-  std::printf("  compiled     %.4fs  (%.0f points/sec, %.1fx)\n\n",
-              kernel_sec, kSampleSize / kernel_sec,
-              interp_sec / kernel_sec);
+  const KernelRow lin_row = kernel_row(
+      &db, "x + y <= 1 & x - y <= 1/2 & 2*x + 3*y >= a & x <= 3/4",
+      {x, y}, {{a, Rational(-1, 4)}}, kernel_pts);
+  const KernelRow poly_row =
+      kernel_row(&db, "x^2 + y^2 + x*y <= 4/5", {x, y}, {}, kernel_pts);
+  std::printf("\n");
 
   std::printf("MC throughput, M=%zu points (disk family, a=0.9):\n",
               kSampleSize);
   std::printf("%-9s %-12s %-14s %-10s %-9s\n", "threads", "seconds",
               "points/sec", "estimate", "bitwise");
-  t0 = now_seconds();
+  double t0 = now_seconds();
   const double serial = sampler.estimate(params, nullptr).value_or_die();
   const double serial_sec = now_seconds() - t0;
   std::printf("%-9s %-12.4f %-14.0f %-10.6f %-9s\n", "serial", serial_sec,
@@ -113,11 +137,9 @@ void print_table() {
   std::string json =
       "{\n  \"sample_size\": " + std::to_string(kSampleSize) +
       ",\n  \"hardware_concurrency\": " + std::to_string(hw) +
-      ",\n  \"kernel\": {\"interpreter_seconds\": " +
-      std::to_string(interp_sec) +
-      ", \"compiled_seconds\": " + std::to_string(kernel_sec) +
-      ", \"kernel_speedup\": " + std::to_string(interp_sec / kernel_sec) +
-      "},\n  \"serial_seconds\": " + std::to_string(serial_sec) +
+      ",\n  \"kernel\": " + lin_row.json() +
+      ",\n  \"kernel_poly\": " + poly_row.json() +
+      ",\n  \"serial_seconds\": " + std::to_string(serial_sec) +
       ",\n  \"serial_samples_per_sec\": " +
       std::to_string(kSampleSize / serial_sec) + ",\n  \"threads\": [\n";
   bool first = true;

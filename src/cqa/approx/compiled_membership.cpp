@@ -25,57 +25,47 @@ Result<std::uint32_t> CompiledMembership::lower(
       break;
     case Kind::kAtom: {
       const Polynomial& p = f->poly();
-      const bool holds[3] = {op_holds(f->op(), -1), op_holds(f->op(), 0),
-                             op_holds(f->op(), 1)};
-      if (p.is_linear()) {
-        LinAtom a;
-        a.term_begin = static_cast<std::uint32_t>(lin_terms_.size());
-        // The map iterates monomials lexicographically, which places the
-        // constant term (empty monomial) first; folding it into c0 and
-        // appending the remaining terms in iteration order reproduces
-        // Polynomial::eval_double's exact summation order.
-        for (const auto& [m, c] : p.terms()) {
-          std::size_t var = 0;
-          bool has_var = false;
-          for (std::size_t i = 0; i < m.size(); ++i) {
-            if (m[i] != 0) {
-              var = i;
-              has_var = true;
-            }
-          }
-          if (!has_var) {
-            a.c0 = c.to_double();
-            continue;
-          }
-          LinTerm t;
-          t.base_coeff = c.to_double();
-          auto it = var_col.find(var);
+      Atom a;
+      a.term_begin = static_cast<std::uint32_t>(terms_.size());
+      // Terms in map order, factors in ascending variable index, one
+      // factor per exponent unit: Polynomial::eval_double's exact
+      // operation sequence, laid out flat.
+      for (const auto& [m, c] : p.terms()) {
+        Term t;
+        t.coeff = c.to_double();
+        t.factor_begin = static_cast<std::uint32_t>(factors_.size());
+        t.fold_end = t.factor_begin;
+        bool seen_element = false;
+        for (std::size_t i = 0; i < m.size(); ++i) {
+          if (m[i] == 0) continue;
+          std::uint32_t col;
+          auto it = var_col.find(i);
           if (it != var_col.end()) {
-            t.col = it->second;
-            t.param_var = -1;
+            col = it->second;
+            seen_element = true;
           } else {
-            t.col = static_cast<std::uint32_t>(element_vars_.size());
-            t.param_var = static_cast<std::int64_t>(var);
+            auto s = std::find(scalar_vars_.begin(), scalar_vars_.end(), i);
+            col = static_cast<std::uint32_t>(
+                element_vars_.size() +
+                static_cast<std::size_t>(s - scalar_vars_.begin()));
+            if (s == scalar_vars_.end()) scalar_vars_.push_back(i);
           }
-          lin_terms_.push_back(t);
+          factors_.insert(factors_.end(), m[i], col);
+          if (!seen_element) {
+            t.fold_end = static_cast<std::uint32_t>(factors_.size());
+          }
         }
-        a.term_end = static_cast<std::uint32_t>(lin_terms_.size());
-        a.holds[0] = holds[0];
-        a.holds[1] = holds[1];
-        a.holds[2] = holds[2];
-        n.op = Node::Op::kLin;
-        n.a = static_cast<std::uint32_t>(lin_atoms_.size());
-        lin_atoms_.push_back(a);
-      } else {
-        PolyAtom a;
-        a.atom = f;
-        a.holds[0] = holds[0];
-        a.holds[1] = holds[1];
-        a.holds[2] = holds[2];
-        n.op = Node::Op::kPoly;
-        n.a = static_cast<std::uint32_t>(poly_atoms_.size());
-        poly_atoms_.push_back(std::move(a));
+        t.factor_end = static_cast<std::uint32_t>(factors_.size());
+        terms_.push_back(t);
       }
+      a.term_end = static_cast<std::uint32_t>(terms_.size());
+      a.holds[0] = op_holds(f->op(), -1);
+      a.holds[1] = op_holds(f->op(), 0);
+      a.holds[2] = op_holds(f->op(), 1);
+      if (p.is_linear()) ++linear_atoms_;
+      n.op = Node::Op::kAtom;
+      n.a = static_cast<std::uint32_t>(atoms_.size());
+      atoms_.push_back(a);
       break;
     }
     case Kind::kPredicate:
@@ -145,12 +135,12 @@ Result<CompiledMembership> CompiledMembership::compile(
   }
   if (meter != nullptr) {
     const std::size_t bytes =
-        cm.lin_atoms_.size() * sizeof(LinAtom) +
-        cm.lin_terms_.size() * sizeof(LinTerm) +
-        cm.poly_atoms_.size() * sizeof(PolyAtom) +
+        cm.atoms_.size() * sizeof(Atom) + cm.terms_.size() * sizeof(Term) +
+        cm.factors_.size() * sizeof(std::uint32_t) +
         cm.nodes_.size() * sizeof(Node) +
         cm.child_ids_.size() * sizeof(std::uint32_t) +
-        (cm.element_vars_.size() + 1) * kBlockPoints * sizeof(double);
+        (cm.element_vars_.size() + cm.scalar_vars_.size()) * kBlockPoints *
+            sizeof(double);
     // The MC rung is the ladder's fallback for an already-tripped meter
     // (sampling is O(1)-memory per point), so a pre-existing trip must
     // not veto compilation; only a trip *caused by this charge* -- the
@@ -176,26 +166,23 @@ Result<CompiledMembership::Binding> CompiledMembership::bind(
     }
   }
   Binding b;
-  b.coeff.resize(lin_terms_.size());
-  for (std::size_t k = 0; k < lin_terms_.size(); ++k) {
-    const LinTerm& t = lin_terms_[k];
-    if (t.param_var < 0) {
-      b.coeff[k] = t.base_coeff;
-      continue;
-    }
-    // Non-element variable: the interpreter sees params[var] in the
-    // point scratch (0.0 when unbound), multiplied as `coeff * x`. The
-    // same product lands here once, and the ones column carries it
-    // through the lane loop (x * 1.0 == x for every double).
-    auto it = params.find(static_cast<std::size_t>(t.param_var));
-    const double x = it == params.end() ? 0.0 : it->second.to_double();
-    double c = t.base_coeff;
-    c *= x;
-    b.coeff[k] = c;
+  // A non-element variable reads as params[var] in the interpreter's
+  // point scratch, 0.0 when unbound.
+  b.scalar.reserve(scalar_vars_.size());
+  for (std::size_t v : scalar_vars_) {
+    auto it = params.find(v);
+    b.scalar.push_back(it == params.end() ? 0.0 : it->second.to_double());
   }
-  b.point.assign(point_size_, 0.0);
-  for (const auto& [v, val] : params) {
-    b.point[v] = val.to_double();
+  // Leading broadcast factors multiply into the coefficient here, in
+  // the order the interpreter multiplies them per point.
+  const std::size_t dim = element_vars_.size();
+  b.coeff.reserve(terms_.size());
+  for (const Term& t : terms_) {
+    double c = t.coeff;
+    for (std::uint32_t u = t.factor_begin; u < t.fold_end; ++u) {
+      c *= b.scalar[factors_[u] - dim];
+    }
+    b.coeff.push_back(c);
   }
   return b;
 }
@@ -204,35 +191,107 @@ Result<CompiledMembership::Binding> CompiledMembership::bind(
 // Evaluation
 
 struct CompiledMembership::Scratch {
-  std::vector<double> cols;   // (dim + 1) columns x kBlockPoints; last = 1.0
-  std::vector<double> acc;    // one linear-atom accumulator per lane
-  std::vector<double> point;  // fallback point, template-initialized
-  std::size_t cols_dim = static_cast<std::size_t>(-1);
-
-  void ensure(std::size_t dim, std::size_t point_size) {
-    if (cols_dim != dim) {
-      cols.assign((dim + 1) * kBlockPoints, 0.0);
-      std::fill(cols.begin() + static_cast<std::ptrdiff_t>(dim * kBlockPoints),
-                cols.end(), 1.0);
-      cols_dim = dim;
-    }
-    if (acc.size() < kBlockPoints) acc.resize(kBlockPoints);
-    if (point.size() != point_size) point.resize(point_size, 0.0);
-  }
+  // (dim + |scalar_vars_|) columns x kBlockPoints: element coordinates,
+  // then one broadcast column per non-element variable.
+  std::vector<double> cols;
+  double acc[kBlockPoints] = {};  // one atom accumulator per lane
+  double tmp[kBlockPoints] = {};  // one term product per lane
 };
 
 namespace {
-inline int double_sign(double v) {
-  // The interpreter's convention: NaN fails both compares -> sign 0.
-  return v < 0 ? -1 : (v > 0 ? 1 : 0);
+
+constexpr std::size_t kLanes = CompiledMembership::kBlockPoints;
+
+// The lane passes of one term, restrict-qualified so each vectorizes
+// without alias checks. Per lane they keep the interpreter's operation
+// order: t = c; t *= x (once per factor); out += t.
+void lanes_add(double* __restrict acc, double c) {
+  for (std::size_t i = 0; i < kLanes; ++i) acc[i] += c;
 }
+void lanes_mul_add(double* __restrict acc, double c,
+                   const double* __restrict x) {
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    double t = c;
+    t *= x[i];
+    acc[i] += t;
+  }
+}
+void lanes_mul_set(double* __restrict tmp, double c,
+                   const double* __restrict x) {
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    double t = c;
+    t *= x[i];
+    tmp[i] = t;
+  }
+}
+void lanes_mul(double* __restrict tmp, const double* __restrict x) {
+  for (std::size_t i = 0; i < kLanes; ++i) tmp[i] *= x[i];
+}
+void lanes_mul_acc(double* __restrict acc, const double* __restrict tmp,
+                   const double* __restrict x) {
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    double t = tmp[i];
+    t *= x[i];
+    acc[i] += t;
+  }
+}
+
 }  // namespace
+
+std::uint64_t CompiledMembership::eval_atom(const Atom& a,
+                                            const Binding& binding,
+                                            Scratch* scratch) const {
+  // Every lane of the block is computed (lanes past a short block's end
+  // hold stale but harmless coordinates) so the passes have a fixed
+  // trip count; the caller masks the result down to the live lanes.
+  double* acc = scratch->acc;
+  double* tmp = scratch->tmp;
+  const double* cols = scratch->cols.data();
+  auto col = [cols](std::uint32_t c) {
+    return cols + static_cast<std::size_t>(c) * kLanes;
+  };
+  std::uint32_t k = a.term_begin;
+  // out = 0.0, then out += term per term. A leading fully folded term
+  // (the constant, first in map order) is one scalar add, not a pass.
+  double init = 0.0;
+  if (k < a.term_end && terms_[k].fold_end == terms_[k].factor_end) {
+    init += binding.coeff[k];
+    ++k;
+  }
+  std::fill_n(acc, kLanes, init);
+  for (; k < a.term_end; ++k) {
+    const Term& t = terms_[k];
+    const double c = binding.coeff[k];
+    const std::uint32_t* f = factors_.data() + t.fold_end;
+    const std::uint32_t* end = factors_.data() + t.factor_end;
+    // One pass per factor: the first fused with the coefficient, the
+    // last with the accumulation.
+    if (f == end) {
+      lanes_add(acc, c);
+    } else if (f + 1 == end) {
+      lanes_mul_add(acc, c, col(*f));
+    } else {
+      lanes_mul_set(tmp, c, col(*f++));
+      for (; f + 1 < end; ++f) lanes_mul(tmp, col(*f));
+      lanes_mul_acc(acc, tmp, col(*f));
+    }
+  }
+  // Sign masks with the interpreter's convention: NaN fails both
+  // compares, so it lands in neither mask and reads as sign 0.
+  std::uint64_t lt = 0;
+  std::uint64_t gt = 0;
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    lt |= static_cast<std::uint64_t>(acc[i] < 0) << i;
+    gt |= static_cast<std::uint64_t>(acc[i] > 0) << i;
+  }
+  return (a.holds[0] ? lt : 0) | (a.holds[1] ? ~(lt | gt) : 0) |
+         (a.holds[2] ? gt : 0);
+}
 
 std::uint64_t CompiledMembership::eval_mask(std::uint32_t node,
                                             std::uint64_t active,
                                             const Binding& binding,
-                                            Scratch* scratch,
-                                            std::size_t npts) const {
+                                            Scratch* scratch) const {
   if (active == 0) return 0;
   const Node& n = nodes_[node];
   switch (n.op) {
@@ -240,61 +299,18 @@ std::uint64_t CompiledMembership::eval_mask(std::uint32_t node,
       return active;
     case Node::Op::kFalse:
       return 0;
-    case Node::Op::kLin: {
-      const LinAtom& a = lin_atoms_[n.a];
-      double* acc = scratch->acc.data();
-      for (std::size_t i = 0; i < npts; ++i) acc[i] = a.c0;
-      for (std::uint32_t k = a.term_begin; k < a.term_end; ++k) {
-        const double c = binding.coeff[k];
-        const double* col = scratch->cols.data() +
-                            static_cast<std::size_t>(lin_terms_[k].col) *
-                                kBlockPoints;
-        for (std::size_t i = 0; i < npts; ++i) {
-          double t = c;
-          t *= col[i];
-          acc[i] += t;
-        }
-      }
-      std::uint64_t m = 0;
-      for (std::size_t i = 0; i < npts; ++i) {
-        m |= static_cast<std::uint64_t>(a.holds[double_sign(acc[i]) + 1])
-             << i;
-      }
-      return m & active;
-    }
-    case Node::Op::kPoly: {
-      // Interpreter fallback, restricted to the lanes still live: fill
-      // the point scratch (params pre-bound by the template) and walk
-      // the polynomial exactly as eval_qf_double would.
-      const PolyAtom& a = poly_atoms_[n.a];
-      const Polynomial& p = a.atom->poly();
-      double* pt = scratch->point.data();
-      const double* cols = scratch->cols.data();
-      std::uint64_t m = 0;
-      std::uint64_t rest = active;
-      while (rest != 0) {
-        const unsigned i = static_cast<unsigned>(std::countr_zero(rest));
-        rest &= rest - 1;
-        for (std::size_t j = 0; j < element_vars_.size(); ++j) {
-          pt[element_vars_[j]] = cols[j * kBlockPoints + i];
-        }
-        const double v = p.eval_double(scratch->point);
-        if (a.holds[double_sign(v) + 1]) {
-          m |= std::uint64_t{1} << i;
-        }
-      }
-      return m;
-    }
+    case Node::Op::kAtom:
+      return eval_atom(atoms_[n.a], binding, scratch) & active;
     case Node::Op::kNot:
       return active &
-             ~eval_mask(child_ids_[n.a], active, binding, scratch, npts);
+             ~eval_mask(child_ids_[n.a], active, binding, scratch);
     case Node::Op::kAnd: {
       // Lanes falsified by an earlier child are dead for the rest of the
       // conjunction: block-level short-circuit, pointwise identical to
       // the interpreter's early return.
       std::uint64_t m = active;
       for (std::uint32_t k = n.a; k < n.b && m != 0; ++k) {
-        m = eval_mask(child_ids_[k], m, binding, scratch, npts);
+        m = eval_mask(child_ids_[k], m, binding, scratch);
       }
       return m;
     }
@@ -302,7 +318,7 @@ std::uint64_t CompiledMembership::eval_mask(std::uint32_t node,
       std::uint64_t acc = 0;
       std::uint64_t rem = active;
       for (std::uint32_t k = n.a; k < n.b && rem != 0; ++k) {
-        acc |= eval_mask(child_ids_[k], rem, binding, scratch, npts);
+        acc |= eval_mask(child_ids_[k], rem, binding, scratch);
         rem = active & ~acc;
       }
       return acc;
@@ -318,11 +334,16 @@ Result<std::size_t> CompiledMembership::count_blocks(
   // Per-thread reusable buffers: workers touch no shared mutable state
   // and a chunk allocates nothing once its thread's scratch is warm.
   static thread_local Scratch s;
-  s.ensure(dim, point_size_);
-  if (!poly_atoms_.empty()) {
-    // The fallback template's non-element slots are never written during
-    // the run, so one assign per call (re)binds the parameters.
-    s.point.assign(binding.point.begin(), binding.point.end());
+  const std::size_t ncols = dim + scalar_vars_.size();
+  if (s.cols.size() < ncols * kBlockPoints) {
+    s.cols.resize(ncols * kBlockPoints, 0.0);
+  }
+  // Broadcast columns carry this call's binding; the block loop below
+  // only ever rewrites the element columns.
+  for (std::size_t k = 0; k < scalar_vars_.size(); ++k) {
+    std::fill_n(s.cols.begin() +
+                    static_cast<std::ptrdiff_t>((dim + k) * kBlockPoints),
+                kBlockPoints, binding.scalar[k]);
   }
   static_assert(kCancelPollStride % CompiledMembership::kBlockPoints == 0,
                 "poll stride must land on block boundaries");
@@ -353,7 +374,7 @@ Result<std::size_t> CompiledMembership::count_blocks(
         npts == kBlockPoints ? ~std::uint64_t{0}
                              : ((std::uint64_t{1} << npts) - 1);
     hits += static_cast<std::size_t>(
-        std::popcount(eval_mask(root_, full, binding, &s, npts)));
+        std::popcount(eval_mask(root_, full, binding, &s)));
   }
   return hits;
 }

@@ -6,34 +6,35 @@
 // CompiledMembership lowers a quantifier-free inlined formula ONCE into
 // a flat plan:
 //
-//  * a structure-of-arrays table of *linear* atoms -- per atom a constant
-//    and an ordered run of (coefficient, column) terms -- evaluated over
-//    SoA point blocks of kBlockPoints with a tight, vectorizable inner
-//    loop (column-major: one coefficient broadcast against a whole
-//    block column per step);
+//  * one atom table for FO+LIN and FO+POLY alike -- per atom an ordered
+//    run of terms, per term a coefficient (Rational::to_double, once)
+//    and an ordered run of factor columns, each variable repeated once
+//    per unit of its exponent -- evaluated column-wise over SoA point
+//    blocks of kBlockPoints: one tight, vectorizable pass per factor,
+//    no interpreter call and no per-lane branching;
 //  * a short-circuit boolean cell program over 64-bit lane masks: an AND
 //    node stops evaluating children once no lane is still live, an OR
 //    node once every lane is decided -- block-level short-circuiting
-//    with pointwise-identical semantics to the tree walk;
-//  * non-linear (FO+POLY) atoms fall back per-atom to the interpreter
-//    (Polynomial::eval_double) inside the same block loop, evaluated
-//    only on the lanes that are still live.
+//    with pointwise-identical semantics to the tree walk.
 //
 // Bitwise-identity contract: for every point, the kernel performs the
-// exact floating-point operations eval_qf_double performs, in the same
-// order (terms in the polynomial's monomial order, `acc += coeff * x`
-// per term), so hit counts are EXACTLY equal to the tree walk -- not
-// just statistically close. The build compiles with -ffp-contract=off
-// so neither path is silently FMA-contracted differently. The
-// differential suite in tests/approx_compiled_kernel_test.cpp gates
-// this contract.
+// exact floating-point operations Polynomial::eval_double performs, in
+// the same order -- `out = 0.0`, terms in the polynomial's monomial
+// order, per term `t = c` then `t *= x` once per exponent unit with the
+// variables in ascending index, then `out += t` -- so hit counts are
+// EXACTLY equal to the tree walk, not just statistically close. The
+// build compiles with -ffp-contract=off so neither path is silently
+// FMA-contracted differently. The differential suite in
+// tests/approx_compiled_kernel_test.cpp gates this contract.
 //
 // Parameter binding is hoisted out of the per-chunk loop: bind() folds
-// `params` into a Binding once (per-term products precomputed, the
-// fallback point template pre-filled), so repeated chunk evaluations
-// with the same parameters never re-walk the map. A parameter index
-// outside the formula's variable range is a kInvalidArgument instead of
-// the silent drop the old kernel performed.
+// `params` into a Binding once. A non-element (parameter or unbound)
+// factor that precedes every element factor of its term multiplies
+// into the term's coefficient at bind time -- the same products in the
+// same order; any later non-element factor multiplies in place against
+// a broadcast column, so the order stays exact. A parameter index
+// outside the formula's variable range is a kInvalidArgument instead
+// of the silent drop the old kernel performed.
 
 #ifndef CQA_APPROX_COMPILED_MEMBERSHIP_H_
 #define CQA_APPROX_COMPILED_MEMBERSHIP_H_
@@ -60,17 +61,17 @@ class CompiledMembership {
   static constexpr std::size_t kBlockPoints = 64;
 
   /// Parameters folded into evaluable form: per-term coefficients with
-  /// parameter products precomputed, plus the pre-filled point template
-  /// the non-linear fallback atoms evaluate against. Immutable once
-  /// built; safe to share across worker threads.
+  /// the leading non-element factors multiplied in, plus the values of
+  /// the non-element variables for the broadcast columns. Immutable
+  /// once built; safe to share across worker threads.
   class Binding {
    public:
     Binding() = default;
 
    private:
     friend class CompiledMembership;
-    std::vector<double> coeff;  // per LinTerm, params already multiplied
-    std::vector<double> point;  // fallback template: params bound, rest 0
+    std::vector<double> coeff;   // per Term, leading factors folded in
+    std::vector<double> scalar;  // per scalar_vars_ entry: param or 0.0
   };
 
   CompiledMembership() = default;
@@ -113,48 +114,42 @@ class CompiledMembership {
       const CancelToken* cancel = nullptr) const;
 
   std::size_t dimension() const { return element_vars_.size(); }
-  /// Atoms lowered to the SoA linear table / interpreter fallback --
-  /// exposed so tests can pin which path a formula exercises.
-  std::size_t linear_atom_count() const { return lin_atoms_.size(); }
-  std::size_t fallback_atom_count() const { return poly_atoms_.size(); }
+  /// Lowered atoms in total, those whose polynomial is affine, and
+  /// those left to a per-lane interpreter -- exposed so tests and the
+  /// benchmark can pin which shape a formula exercises. Every atom is
+  /// lowered, so the fallback count is always 0.
+  std::size_t atom_count() const { return atoms_.size(); }
+  std::size_t linear_atom_count() const { return linear_atoms_; }
+  std::size_t fallback_atom_count() const { return 0; }
 
  private:
-  // One lowered linear atom: value_i = c0 + sum_k coeff[k] * col_k[i],
-  // terms [term_begin, term_end) in the polynomial's monomial order.
-  // holds[sign + 1] is op_holds(op, sign) precomputed, so the lane loop
-  // is a table lookup with the interpreter's exact sign convention
-  // (NaN compares false both ways -> sign 0).
-  struct LinAtom {
-    double c0 = 0.0;
+  // One lowered atom: value_i = 0.0 + sum of terms [term_begin,
+  // term_end) in the polynomial's monomial order. holds[sign + 1] is
+  // op_holds(op, sign) precomputed, so the lane masks follow the
+  // interpreter's exact sign convention (NaN compares false both ways
+  // -> sign 0).
+  struct Atom {
     std::uint32_t term_begin = 0;
     std::uint32_t term_end = 0;
     bool holds[3] = {false, false, false};
   };
-  // One linear-atom term. `col` indexes the SoA scratch: columns
-  // 0..dim-1 are element coordinates, column dim is all-ones (parameter
-  // and unbound-variable terms multiply against it so their
-  // bind-time-folded products keep their place in the summation order).
-  struct LinTerm {
-    double base_coeff = 0.0;
-    std::uint32_t col = 0;
-    // >= 0: non-element variable -- bind() folds params[var] (or the
-    // interpreter's implicit 0.0) into the bound coefficient. -1:
-    // element term, bound coefficient == base_coeff.
-    std::int64_t param_var = -1;
-  };
-  // One fallback atom kept on the interpreter: the atom node pins the
-  // Polynomial (and the shared formula tree) alive.
-  struct PolyAtom {
-    FormulaPtr atom;
-    bool holds[3] = {false, false, false};
+  // One term: coeff * the factor columns factors_[factor_begin,
+  // factor_end), multiplied left to right. Columns 0..dim-1 are element
+  // coordinates; column dim + s broadcasts scalar_vars_[s]'s bound
+  // value. Factors [factor_begin, fold_end) are all broadcast columns
+  // preceding every element factor: bind() multiplies them into the
+  // coefficient, so the lane loop starts at fold_end.
+  struct Term {
+    double coeff = 0.0;
+    std::uint32_t factor_begin = 0;
+    std::uint32_t fold_end = 0;
+    std::uint32_t factor_end = 0;
   };
   // Flattened boolean cell program node.
   struct Node {
-    enum class Op : std::uint8_t {
-      kTrue, kFalse, kLin, kPoly, kNot, kAnd, kOr,
-    };
+    enum class Op : std::uint8_t { kTrue, kFalse, kAtom, kNot, kAnd, kOr };
     Op op = Op::kTrue;
-    std::uint32_t a = 0;  // kLin/kPoly: atom index; kNot/kAnd/kOr: child lo
+    std::uint32_t a = 0;  // kAtom: atom index; kNot/kAnd/kOr: child lo
     std::uint32_t b = 0;  // kNot/kAnd/kOr: child hi (range into child_ids_)
   };
 
@@ -163,9 +158,10 @@ class CompiledMembership {
   Result<std::uint32_t> lower(
       const FormulaPtr& f,
       const std::map<std::size_t, std::uint32_t>& var_col);
+  std::uint64_t eval_atom(const Atom& a, const Binding& binding,
+                          Scratch* scratch) const;
   std::uint64_t eval_mask(std::uint32_t node, std::uint64_t active,
-                          const Binding& binding, Scratch* scratch,
-                          std::size_t npts) const;
+                          const Binding& binding, Scratch* scratch) const;
   Result<std::size_t> count_blocks(const Binding& binding,
                                    const std::vector<double>* aos_points,
                                    Xoshiro* rng, std::size_t count,
@@ -173,9 +169,11 @@ class CompiledMembership {
 
   std::vector<std::size_t> element_vars_;
   std::size_t point_size_ = 0;  // max_var + 1 over formula and elements
-  std::vector<LinAtom> lin_atoms_;
-  std::vector<LinTerm> lin_terms_;
-  std::vector<PolyAtom> poly_atoms_;
+  std::vector<Atom> atoms_;
+  std::size_t linear_atoms_ = 0;
+  std::vector<Term> terms_;
+  std::vector<std::uint32_t> factors_;     // column per exponent unit
+  std::vector<std::size_t> scalar_vars_;   // variable per broadcast column
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> child_ids_;
   std::uint32_t root_ = 0;

@@ -4,8 +4,9 @@
 // bitwise-identity contract that lets the runtime swap kernels without
 // perturbing a single sample. Driven by FormulaGen across FO+LIN and
 // FO+POLY, plus targeted cases for the corners: empty/always-true
-// cells, parameters, params shared with element vars, the mixed
-// linear/non-linear fallback, and cancellation.
+// cells, parameters (folded into the coefficient or multiplied in
+// place), params shared with element vars, high exponents, cross terms,
+// huge coefficients, repeated element variables, and cancellation.
 
 #include <gtest/gtest.h>
 
@@ -64,7 +65,7 @@ std::size_t assert_equal_counts(
 // --- Generator-driven differential sweep (>= 500 seeded trials) -------
 
 void sweep(bool linear_only, std::uint64_t seed_base, std::size_t trials) {
-  std::size_t fallback_formulas = 0;
+  std::size_t nonlinear_formulas = 0;
   for (std::size_t t = 0; t < trials; ++t) {
     GenOptions opt;
     opt.dimension = 1 + t % 3;
@@ -86,16 +87,18 @@ void sweep(bool linear_only, std::uint64_t seed_base, std::size_t trials) {
 
     auto compiled = CompiledMembership::compile(g.core, element_vars);
     ASSERT_TRUE(compiled.is_ok());
-    if (compiled.value().fallback_atom_count() > 0) ++fallback_formulas;
+    const CompiledMembership& cm = compiled.value();
+    EXPECT_EQ(cm.fallback_atom_count(), 0u)
+        << "an atom was left to the interpreter: " << g.text();
+    if (cm.atom_count() > cm.linear_atom_count()) ++nonlinear_formulas;
     if (linear_only) {
-      EXPECT_EQ(compiled.value().fallback_atom_count(), 0u)
-          << "FO+LIN formula lowered atoms to the interpreter fallback: "
-          << g.text();
+      EXPECT_EQ(cm.atom_count(), cm.linear_atom_count())
+          << "FO+LIN formula lowered a non-linear atom: " << g.text();
     }
   }
   if (!linear_only) {
-    // The FO+POLY sweep must actually exercise the fallback path.
-    EXPECT_GT(fallback_formulas, trials / 4);
+    // The FO+POLY sweep must actually exercise lowered non-linear atoms.
+    EXPECT_GT(nonlinear_formulas, trials / 4);
   }
 }
 
@@ -178,16 +181,110 @@ TEST(CompiledKernel, OutOfRangeParamIsInvalidArgument) {
   EXPECT_EQ(binding.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(CompiledKernel, MixedLinearAndFallbackAtoms) {
+TEST(CompiledKernel, MixedLinearAndNonlinearAtoms) {
   VarTable vars;
   auto f = parse_formula(
                "(x + y <= 1 | x^2 + y^2 <= 1/2) & !(x*y >= 1/3)", &vars)
                .value_or_die();
   auto compiled = must_compile(f, {0, 1});
-  EXPECT_GT(compiled.linear_atom_count(), 0u);
-  EXPECT_GT(compiled.fallback_atom_count(), 0u);
+  EXPECT_EQ(compiled.atom_count(), 3u);
+  EXPECT_EQ(compiled.linear_atom_count(), 1u);
+  EXPECT_EQ(compiled.fallback_atom_count(), 0u);
   auto pts = draw_points(19, 333, 2);
   assert_equal_counts(f, {0, 1}, {}, pts);
+}
+
+// --- Lowered FO+POLY corners ------------------------------------------
+
+TEST(CompiledKernel, ParamFactorsFoldOnlyBeforeElementFactors) {
+  // The interpreter multiplies a term's factors in ascending variable
+  // index. With a parameter at 10^306, `1000*p` overflows to inf while
+  // `1000*x*x` stays small, so multiplying a parameter that follows the
+  // element variable into the coefficient early would flip hits to
+  // misses: the two atoms pin both the folded and the in-place order.
+  const Rational huge = Rational::pow(Rational(10), 306);
+  auto pts = draw_points(37, 500, 1);
+  {
+    VarTable vars;  // p = x0 precedes x = x1: folded at bind time
+    auto f = parse_formula("1000*p*x^2 <= 10^307", &vars).value_or_die();
+    ASSERT_EQ(vars.find("p"), 0);
+    EXPECT_EQ(assert_equal_counts(f, {1}, {{0, huge}}, pts), 0u);
+  }
+  {
+    VarTable vars;  // x = x0 precedes q = x1: multiplied in place
+    auto f = parse_formula("1000*x^2*q <= 10^307", &vars).value_or_die();
+    ASSERT_EQ(vars.find("q"), 1);
+    const std::size_t hits = assert_equal_counts(f, {0}, {{1, huge}}, pts);
+    EXPECT_GT(hits, 0u);  // x <= 1/10, about a tenth of the points
+    EXPECT_LT(hits, pts.size() / 4);
+  }
+  for (int num = -4; num <= 4; ++num) {
+    VarTable vars;
+    auto f = parse_formula("p*x^2 + x^2*q - x*y*q <= 1/3", &vars)
+                 .value_or_die();
+    const std::size_t p = static_cast<std::size_t>(vars.find("p"));
+    const std::size_t x = static_cast<std::size_t>(vars.find("x"));
+    const std::size_t q = static_cast<std::size_t>(vars.find("q"));
+    const std::size_t y = static_cast<std::size_t>(vars.find("y"));
+    assert_equal_counts(f, {x, y},
+                        {{p, Rational(num, 3)}, {q, Rational(5 - num, 4)}},
+                        draw_points(41 + num, 200, 2));
+  }
+}
+
+TEST(CompiledKernel, HighExponentsAndCrossTerms) {
+  VarTable vars;
+  auto f = parse_formula(
+               "(x^5 - 3*x^2*y^3 + 1/2*y^5 >= -1/10 & x*y*z <= 1/8) | "
+               "x^4*z - y^2*z^3 + x*y*z >= 1/5",
+               &vars)
+               .value_or_die();
+  auto compiled = must_compile(f, {0, 1, 2});
+  EXPECT_EQ(compiled.linear_atom_count(), 0u);
+  auto pts = draw_points(43, 777, 3);
+  const std::size_t hits = assert_equal_counts(f, {0, 1, 2}, {}, pts);
+  EXPECT_GT(hits, 0u);
+  EXPECT_LT(hits, pts.size());
+}
+
+TEST(CompiledKernel, HugeRationalCoefficients) {
+  // Numerators and denominators past 52 bits take Rational::to_double's
+  // multi-limb path; 10^400 overflows to inf, and inf * 0 -> NaN makes
+  // the sign-0 convention decide the atom.
+  VarTable vars;
+  auto f = parse_formula(
+               "123456789012345678901234567890123456789/"
+               "98765432109876543210987654321 * x^2 - "
+               "31415926535897932384626433832795/"
+               "10000000000000000000000000000000 * y <= 1/7 | "
+               "10^400*x*y^2 - y <= 0",
+               &vars)
+               .value_or_die();
+  auto pts = draw_points(47, 640, 2);
+  assert_equal_counts(f, {0, 1}, {}, pts);
+}
+
+TEST(CompiledKernel, RepeatedElementVariable) {
+  // element_vars names x twice: the later coordinate wins in both
+  // kernels, the earlier one is drawn but unused.
+  VarTable vars;
+  auto f = parse_formula("x^3 + x*y <= 1/4", &vars).value_or_die();
+  auto pts = draw_points(53, 300, 3);
+  assert_equal_counts(f, {0, 0, 1}, {}, pts);
+}
+
+TEST(CompiledKernel, UnboundNonElementVariableInPolynomialAtom) {
+  // z is neither sampled nor bound: it reads as 0.0 in both kernels,
+  // both before (w) and after (z) the element variables in index order.
+  VarTable vars;
+  auto f = parse_formula("w*x^2 + x^2 + y*z^2 - x*y*z <= 1/2", &vars)
+               .value_or_die();
+  const std::size_t x = static_cast<std::size_t>(vars.find("x"));
+  const std::size_t y = static_cast<std::size_t>(vars.find("y"));
+  auto pts = draw_points(59, 300, 2);
+  assert_equal_counts(f, {x, y}, {}, pts);
+  const std::size_t w = static_cast<std::size_t>(vars.find("w"));
+  assert_equal_counts(f, {x, y}, {{w, Rational(-3, 2)}}, pts);
 }
 
 TEST(CompiledKernel, QuantifiedFormulaRejectedLikeInterpreter) {

@@ -3,10 +3,12 @@
 // counts, per-worker accumulation under adversarial chunk geometries
 // (fewer chunks than threads, far more chunks than threads, zero
 // samples), the grain-selection policy, cancellation mid-run, and a
-// wall-clock monotonicity smoke (skipped on single-core machines where
-// parallel speedup is unmeasurable).
+// wall-clock monotonicity smoke (skipped when the process can use only
+// one CPU, where parallel speedup is unmeasurable).
 
 #include <gtest/gtest.h>
+
+#include <sched.h>
 
 #include <chrono>
 #include <cstdint>
@@ -16,6 +18,7 @@
 
 #include "cqa/approx/monte_carlo.h"
 #include "cqa/core/constraint_database.h"
+#include "cqa/guard/fault.h"
 #include "cqa/logic/parser.h"
 #include "cqa/runtime/parallel_sampler.h"
 #include "cqa/runtime/session.h"
@@ -38,7 +41,7 @@ namespace {
 TEST(RuntimeScaling, BitwiseIdentityAcrossThreadCounts) {
   Database db;
   VarTable vars;
-  // FO+POLY core with a parameter: exercises the non-linear fallback
+  // FO+POLY core with a parameter: exercises the lowered non-linear
   // atoms and the hoisted parameter binding on the pooled path.
   auto phi =
       parse_formula("x^2 + y^2 <= a & x + y >= 0", &vars).value_or_die();
@@ -127,22 +130,69 @@ TEST(RuntimeScaling, CancelledTokenDropsChunksWhole) {
 }
 
 TEST(RuntimeScaling, PartialChunksAreWholeMultiples) {
-  // Whatever survives a racing deadline must be whole chunks: evaluated
-  // is always a sum of complete chunk extents, never a torn count.
+  // Whatever survives an interrupted run must be whole chunks: evaluated
+  // is always a sum of complete chunk extents, never a torn count. The
+  // 40000-point sample is 78 chunks of 512 plus a final chunk of 64, so
+  // s surviving chunks sum to 512*s, or to 512*(s-1) + 64 when the short
+  // chunk is among them. Spurious cancellation drops a fixed number of
+  // chunks however fast the kernel runs, so the partial case is
+  // deterministic rather than a race against the wall clock.
   Database db;
   VarTable vars;
   auto phi = parse_formula("x^2 + y^2 <= 1", &vars).value_or_die();
   const std::size_t chunk = 512;
-  ParallelSampler sampler(&db, phi, {0, 1}, /*sample_size=*/40000,
-                          /*seed=*/9, chunk);
-  ThreadPool pool(4);
-  CancelToken token;
-  token.set_deadline_after_ms(1);
-  auto part = sampler.estimate_partial({}, &pool, &token).value_or_die();
-  EXPECT_EQ(part.evaluated % chunk, 0u)
-      << "a chunk was torn mid-count (evaluated=" << part.evaluated << ")";
-  if (part.complete) {
-    EXPECT_EQ(part.evaluated, 40000u);
+  const std::size_t n = 40000;
+  const std::size_t tail = n % chunk;
+  ParallelSampler sampler(&db, phi, {0, 1}, n, /*seed=*/9, chunk);
+  const std::size_t nchunks = sampler.num_chunks();
+  ASSERT_EQ(nchunks, 79u);
+  auto whole_chunks = [&](std::size_t evaluated, std::size_t survivors) {
+    return evaluated == survivors * chunk ||
+           (survivors > 0 && evaluated == (survivors - 1) * chunk + tail);
+  };
+
+  guard::FaultPlan plan;
+  plan.seed = 17;
+  plan.rate[static_cast<std::size_t>(guard::FaultSite::kSpuriousCancel)] =
+      0.5;
+  std::size_t dropped = 0;
+  {
+    guard::FaultInjector injector(plan);
+    guard::ScopedFaultInjector scope(&injector);
+    auto part = sampler.estimate_partial({}, nullptr, nullptr).value_or_die();
+    EXPECT_EQ(injector.checks(guard::FaultSite::kSpuriousCancel), nchunks);
+    dropped = injector.fired(guard::FaultSite::kSpuriousCancel);
+    ASSERT_GT(dropped, 0u);
+    ASSERT_LT(dropped, nchunks);
+    EXPECT_FALSE(part.complete);
+    EXPECT_TRUE(whole_chunks(part.evaluated, nchunks - dropped))
+        << "evaluated=" << part.evaluated << " dropped=" << dropped;
+  }
+  {
+    // Pooled: which chunks drop depends on the schedule, how many does
+    // not (the plan fires on the same arrival indices).
+    guard::FaultInjector injector(plan);
+    guard::ScopedFaultInjector scope(&injector);
+    ThreadPool pool(4);
+    auto part = sampler.estimate_partial({}, &pool, nullptr).value_or_die();
+    EXPECT_EQ(injector.fired(guard::FaultSite::kSpuriousCancel), dropped);
+    EXPECT_FALSE(part.complete);
+    EXPECT_TRUE(whole_chunks(part.evaluated, nchunks - dropped))
+        << "evaluated=" << part.evaluated << " dropped=" << dropped;
+  }
+  {
+    // A racing deadline may cut the run anywhere, or not at all; either
+    // way the survivors are whole chunks.
+    ThreadPool pool(4);
+    CancelToken token;
+    token.set_deadline_after_ms(1);
+    auto part = sampler.estimate_partial({}, &pool, &token).value_or_die();
+    const std::size_t rest = part.evaluated % chunk;
+    EXPECT_TRUE(rest == 0 || rest == tail)
+        << "a chunk was torn mid-count (evaluated=" << part.evaluated << ")";
+    if (part.complete) {
+      EXPECT_EQ(part.evaluated, n);
+    }
   }
 }
 
@@ -173,9 +223,16 @@ TEST(RuntimeScaling, BatchMatchesSoloRuns) {
 TEST(RuntimeScaling, MonotonicitySmoke) {
   // Wall-clock sanity, not a benchmark: 8 pooled threads should beat
   // 0.7x the serial wall on a 1M-point workload. Only meaningful with
-  // real hardware parallelism.
-  if (std::thread::hardware_concurrency() < 2) {
-    GTEST_SKIP() << "single hardware thread: parallel speedup is "
+  // real hardware parallelism: the CPUs this process may run on, which
+  // a taskset pin can cut below the machine's core count.
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  const int usable = sched_getaffinity(0, sizeof(allowed), &allowed) == 0
+                         ? CPU_COUNT(&allowed)
+                         : static_cast<int>(
+                               std::thread::hardware_concurrency());
+  if (usable < 2) {
+    GTEST_SKIP() << "single usable CPU: parallel speedup is "
                     "unmeasurable here (CI covers this on multicore)";
   }
   Database db;

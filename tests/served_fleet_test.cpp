@@ -8,9 +8,9 @@
 // the other shards keep answering at full fidelity, and the supervisor
 // respawns the dead shard so the fleet heals itself.
 //
-// Run with the 240s TSan timeout class: the fleet forks, and the slow
-// Monte-Carlo payloads used to pin a request in flight are deliberately
-// expensive.
+// Run with the 240s TSan timeout class: the fleet forks, and the
+// Monte-Carlo payloads used to pin a request in flight are slowed by an
+// injected slow-chunk fault.
 
 #include <signal.h>
 #include <unistd.h>
@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "cqa/guard/fault.h"
 #include "cqa/runtime/session.h"
 #include "cqa/served/client.h"
 #include "cqa/served/server.h"
@@ -58,8 +59,9 @@ served::Client must_connect(const std::string& sock) {
   return std::move(connected).take();
 }
 
-// A Monte-Carlo request expensive enough (~10^5 samples) to still be in
-// flight when the test aims a SIGKILL at its shard.
+// A Monte-Carlo request of ~10^5 samples (about a hundred sampler
+// chunks): under slow_chunk_plan() it is still in flight when the test
+// aims a SIGKILL at its shard.
 Request slow_mc(std::uint64_t seed) {
   return Request::volume("x^2 + y^2 + x*y <= 4/5")
       .vars({"x", "y"})
@@ -68,6 +70,27 @@ Request slow_mc(std::uint64_t seed) {
       .vc_dim(3.0)
       .seed(seed)
       .build();
+}
+
+// Every sampler chunk in a fleet forked while the returned injector is
+// installed sleeps ~1 ms (workers inherit the parent's injector slot),
+// so a slow_mc request holds its shard for ~10^2 chunk sleeps however
+// fast the membership kernel is. A drill that signals the shard once
+// its batch is admitted then provably lands mid-request.
+guard::FaultPlan slow_chunk_plan() {
+  guard::FaultPlan plan;
+  plan.rate[static_cast<std::size_t>(guard::FaultSite::kSlowChunk)] = 1.0;
+  return plan;
+}
+
+// Blocks until the router has admitted `n` request frames in total (a
+// frame counts before it is forwarded, so the forward follows within
+// microseconds).
+void await_admitted(const served::Server& server, std::uint64_t n) {
+  for (int i = 0; i < 10000 && server.stats().requests < n; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(server.stats().requests, n) << "batch never reached the router";
 }
 
 TEST(ServedFleet, MixedTrafficMatchesLocalSession) {
@@ -122,6 +145,8 @@ TEST(ServedFleet, MixedTrafficMatchesLocalSession) {
 
 TEST(ServedFleet, Kill9CostsExactlyOneShard) {
   served::ServedOptions options = fleet_options("kill9.sock", 3);
+  guard::FaultInjector injector(slow_chunk_plan());
+  guard::ScopedFaultInjector slow_chunks(&injector);
   served::Server server(options);
   ASSERT_TRUE(server.start().is_ok());
 
@@ -138,6 +163,7 @@ TEST(ServedFleet, Kill9CostsExactlyOneShard) {
       if (server.shard_of(r) == victim) batch.push_back(std::move(r));
     }
     const pid_t old_pid = server.worker_pid(victim);
+    const std::uint64_t admitted = server.stats().requests;
     std::atomic<std::uint64_t> crashed{0};
     std::atomic<std::uint64_t> hung{0};
     std::vector<std::thread> threads;
@@ -163,8 +189,9 @@ TEST(ServedFleet, Kill9CostsExactlyOneShard) {
         }
       });
     }
-    // Let the batch land in the victim's queue, then kill -9.
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    // Once the whole batch is on the victim (slow chunks keep it there),
+    // kill -9.
+    await_admitted(server, admitted + batch.size());
     kill(old_pid, SIGKILL);
     for (auto& th : threads) th.join();
     EXPECT_EQ(hung.load(), 0u) << "a client hung past the kill";

@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "cqa/guard/fault.h"
 #include "cqa/runtime/session.h"
 #include "cqa/served/chaos.h"
 #include "cqa/served/client.h"
@@ -51,8 +52,9 @@ served::Client must_connect(const std::string& sock,
   return std::move(connected).take();
 }
 
-// A Monte-Carlo request expensive enough (~10^5 samples) to still be in
-// flight when the test SIGSTOPs its shard.
+// A Monte-Carlo request of ~10^5 samples (about a hundred sampler
+// chunks): under slow_chunk_plan() it is still in flight when the test
+// SIGSTOPs its shard.
 Request slow_mc(std::uint64_t seed) {
   return Request::volume("x^2 + y^2 + x*y <= 4/5")
       .vars({"x", "y"})
@@ -61,6 +63,27 @@ Request slow_mc(std::uint64_t seed) {
       .vc_dim(3.0)
       .seed(seed)
       .build();
+}
+
+// Every sampler chunk in a fleet forked while the returned injector is
+// installed sleeps ~1 ms (workers inherit the parent's injector slot),
+// so a slow_mc request holds its shard for ~10^2 chunk sleeps however
+// fast the membership kernel is. A drill that signals the shard once
+// its batch is admitted then provably lands mid-request.
+guard::FaultPlan slow_chunk_plan() {
+  guard::FaultPlan plan;
+  plan.rate[static_cast<std::size_t>(guard::FaultSite::kSlowChunk)] = 1.0;
+  return plan;
+}
+
+// Blocks until the router has admitted `n` request frames in total (a
+// frame counts before it is forwarded, so the forward follows within
+// microseconds).
+void await_admitted(const served::Server& server, std::uint64_t n) {
+  for (int i = 0; i < 10000 && server.stats().requests < n; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(server.stats().requests, n) << "batch never reached the router";
 }
 
 // ------------------------------------------------------------- watchdog
@@ -72,6 +95,8 @@ TEST(ServedSurvival, WatchdogKillsSigstoppedWorkerAndRespawns) {
   options.watchdog_budget_ms = 800;
   options.watchdog_interval_ms = 50;
   options.term_grace_ms = 100;
+  guard::FaultInjector injector(slow_chunk_plan());
+  guard::ScopedFaultInjector slow_chunks(&injector);
   served::Server server(options);
   ASSERT_TRUE(server.start().is_ok());
 
@@ -85,6 +110,7 @@ TEST(ServedSurvival, WatchdogKillsSigstoppedWorkerAndRespawns) {
       if (server.shard_of(r) == victim) batch.push_back(std::move(r));
     }
     const pid_t old_pid = server.worker_pid(victim);
+    const std::uint64_t admitted = server.stats().requests;
     std::atomic<std::uint64_t> hung{0};
     std::atomic<std::uint64_t> timed_out{0};
     std::vector<std::thread> threads;
@@ -111,9 +137,10 @@ TEST(ServedSurvival, WatchdogKillsSigstoppedWorkerAndRespawns) {
         }
       });
     }
-    // Let the batch land in the victim's queue, then freeze the worker:
-    // no corpse for the supervisor to see, only a flat heartbeat.
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    // Once the whole batch is on the victim (slow chunks keep it there),
+    // freeze the worker: no corpse for the supervisor to see, only a
+    // flat heartbeat.
+    await_admitted(server, admitted + batch.size());
     kill(old_pid, SIGSTOP);
     for (auto& th : threads) th.join();
     EXPECT_EQ(timed_out.load(), 0u) << "a client hung past the watchdog";
