@@ -24,6 +24,7 @@
 #include "cqa/approx/random.h"
 #include "cqa/arith/rational.h"
 #include "cqa/constraint/fourier_motzkin.h"
+#include "cqa/geometry/polytope_volume.h"
 #include "cqa/poly/interpolation.h"
 #include "cqa/volume/semilinear_volume.h"
 
@@ -199,12 +200,52 @@ void run_bigint_mul_large() {
   CQA_CHECK(!acc.is_zero());
 }
 
+// Exact volume of one convex cell (the Lasserre recursion): the cqabench
+// exact.poly4 shape, the unit 4-cube cut by three half-spaces
+// sum_i a_i x_i <= (sum_i a_i) * t / 64 with a_i in 1..3 and t in 26..46,
+// so 11 rows and a few hundred faces per body.
+std::vector<Polyhedron> cut_cubes_4d(std::size_t count, std::uint64_t seed) {
+  Xoshiro rng(seed);
+  auto pick = [&rng](std::int64_t lo, std::int64_t hi) {
+    const auto span = static_cast<std::uint64_t>(hi - lo + 1);
+    return lo + static_cast<std::int64_t>(rng.next() % span);
+  };
+  std::vector<Polyhedron> out;
+  for (std::size_t k = 0; k < count; ++k) {
+    Polyhedron p = Polyhedron::box(4, Rational(0), Rational(1));
+    for (int cut = 0; cut < 3; ++cut) {
+      LinearConstraint c;
+      std::int64_t total = 0;
+      for (int v = 0; v < 4; ++v) {
+        const std::int64_t a = pick(1, 3);
+        total += a;
+        c.coeffs.push_back(Rational(a));
+      }
+      c.rhs = Rational(total * pick(26, 46), 64);
+      c.cmp = LinCmp::kLe;
+      p.add_constraint(std::move(c));
+    }
+    out.push_back(std::move(p));
+  }
+  return out;
+}
+
+void run_polytope_volume_4d() {
+  static const std::vector<Polyhedron> bodies = cut_cubes_4d(12, 4);
+  for (const Polyhedron& p : bodies) {
+    CQA_CHECK(polytope_volume(p).value_or_die().sign() > 0);
+  }
+}
+
 struct Workload {
   std::string name;
   void (*run)();
   // min-of-k seconds at the pre-refactor commit (heap limbs for every
   // value, copy-assign compound ops), measured on the reference machine
   // that produced the committed BENCH_arith.json. 0 = no baseline row.
+  // polytope_volume_4d's baseline is the Lasserre recursion before the
+  // face memo (Fourier-Motzkin feasibility, boundedness and a sample
+  // point at every face), measured on a 4-vCPU KVM guest.
   double baseline_sec;
   // Small-value-dominated rows carry the 3x floor; the Karatsuba row
   // only needs to beat schoolbook.
@@ -229,6 +270,7 @@ int main(int argc, char** argv) {
       {"rational_axpy", run_rational_axpy, 0.31522, kSpeedupFloor},
       {"lagrange_interp", run_lagrange_interp, 0.05332, 1.5},
       {"bigint_mul_large", run_bigint_mul_large, 0.00320, 1.5},
+      {"polytope_volume_4d", run_polytope_volume_4d, 0.08098, kSpeedupFloor},
   };
 
   std::printf("min-of-%d seconds per workload\n\n", kReps);

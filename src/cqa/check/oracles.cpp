@@ -1,5 +1,6 @@
 #include "cqa/check/oracles.h"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <sstream>
@@ -9,6 +10,7 @@
 #include "cqa/logic/eval.h"
 #include "cqa/logic/transform.h"
 #include "cqa/runtime/parallel_sampler.h"
+#include "cqa/volume/semilinear_volume.h"
 
 namespace cqa {
 
@@ -153,6 +155,61 @@ class ExactVsHitAndRunOracle : public Oracle {
       why << "hit-and-run " << estimate << " vs exact " << x
           << " (tolerance " << tolerance << ")";
       return TrialResult::fail(why.str());
+    }
+    return TrialResult::pass();
+  }
+};
+
+// Theorem 3's two exact engines on one convex cell: the Lasserre
+// recursion (polytope_volume, the single-cell fast path) against the
+// arrangement sweep forced on the same cell, which never calls Lasserre.
+// Exact volume is canonical, so the two rationals must be equal.
+class LasserreVsSweepOracle : public Oracle {
+ public:
+  const char* name() const override { return "lasserre_vs_sweep"; }
+  GenOptions tune(GenOptions base) const override {
+    // Below 3-D a face is an edge one step down; the recursion's face
+    // memo and dedup only run from 3-D on.
+    base.dimension = std::max<std::size_t>(base.dimension, 3);
+    base.convex_only = true;
+    base.quantifiers = 0;
+    base.linear_only = true;
+    return base;
+  }
+
+  TrialResult check(const CheckContext& /*ctx*/, const GeneratedFormula& g,
+                    std::uint64_t /*trial_seed*/,
+                    bool inject_fault) const override {
+    // The cell of the formula and the cells of its complement in the box
+    // (box & !h_i per half-space h_i, each with one strict row): a random
+    // conjunction is often empty, its complement seldom is.
+    std::vector<LinearCell> cells;
+    for (const FormulaPtr& f :
+         {g.boxed, Formula::f_and(Formula::f_not(g.core), g.box)}) {
+      auto part = formula_to_cells(f, g.dimension);
+      if (!part.is_ok()) return TrialResult::skip(part.status().to_string());
+      cells.insert(cells.end(), part.value().begin(), part.value().end());
+    }
+    if (cells.empty()) return TrialResult::skip("empty denotation");
+    for (const LinearCell& cell : cells) {
+      auto lasserre = polytope_volume(Polyhedron(cell));
+      if (!lasserre.is_ok()) {
+        return TrialResult::fail("Lasserre refused a boxed cell: " +
+                                 lasserre.status().to_string());
+      }
+      auto sweep = semilinear_volume_sweep({cell});
+      if (!sweep.is_ok()) {
+        return TrialResult::fail("forced sweep failed: " +
+                                 sweep.status().to_string());
+      }
+      Rational got = lasserre.value();
+      // Broken-recursion hook: an answer off by a fixed amount.
+      if (inject_fault) got += Rational(1, 7);
+      if (got != sweep.value()) {
+        return TrialResult::fail("Lasserre " + rat(got) + " != sweep " +
+                                 rat(sweep.value()) + " on " +
+                                 cell.to_string());
+      }
     }
     return TrialResult::pass();
   }
@@ -522,6 +579,7 @@ class ComplementOracle : public Oracle {
 const std::vector<const Oracle*>& all_oracles() {
   static const ExactVsMcOracle exact_vs_mc;
   static const ExactVsHitAndRunOracle exact_vs_har;
+  static const LasserreVsSweepOracle lasserre_vs_sweep;
   static const QeMembershipOracle qe_membership;
   static const SerialVsParallelOracle serial_vs_parallel;
   static const CacheHotVsColdOracle cache;
@@ -531,9 +589,10 @@ const std::vector<const Oracle*>& all_oracles() {
   static const ScalingOracle scaling;
   static const ComplementOracle complement;
   static const std::vector<const Oracle*> kAll = {
-      &exact_vs_mc,  &exact_vs_har, &qe_membership, &serial_vs_parallel,
-      &cache,        &translation,  &additivity,    &monotonicity,
-      &scaling,      &complement,
+      &exact_vs_mc,   &exact_vs_har,       &lasserre_vs_sweep,
+      &qe_membership, &serial_vs_parallel, &cache,
+      &translation,   &additivity,         &monotonicity,
+      &scaling,       &complement,
   };
   return kAll;
 }

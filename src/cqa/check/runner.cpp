@@ -4,20 +4,17 @@
 
 #include "cqa/approx/random.h"
 #include "cqa/check/shrinker.h"
+#include "cqa/util/bincode.h"
 
 namespace cqa {
 
 namespace {
 
-// FNV-1a, so each oracle's trial randomness is a distinct stream of the
-// same base seed and oracles can be added without reshuffling others.
-std::uint64_t oracle_stream(const char* name) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char* p = name; *p != '\0'; ++p) {
-    h = (h ^ static_cast<std::uint64_t>(*p)) * 1099511628211ull;
-  }
-  return h;
-}
+// The streams were first hashed from the basis 1469598103934665603; this
+// salt turns bincode::fnv1a's standard basis into that one, so every
+// stream keeps its value.
+constexpr std::uint64_t kOracleStreamSalt =
+    14695981039346656037ull ^ 1469598103934665603ull;
 
 struct OracleHarness {
   const Oracle* oracle;
@@ -35,6 +32,12 @@ struct OracleHarness {
 };
 
 }  // namespace
+
+// FNV-1a, so each oracle's trial randomness is a distinct stream of the
+// same base seed and oracles can be added without reshuffling others.
+std::uint64_t oracle_stream(const std::string& name) {
+  return bincode::fnv1a(name, kOracleStreamSalt);
+}
 
 std::size_t allowed_failures(std::size_t trials, double delta) {
   if (trials == 0) return 0;

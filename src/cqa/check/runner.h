@@ -76,6 +76,11 @@ struct CheckReport {
   }
 };
 
+/// The per-oracle stream tag hash(o) above: FNV-1a of the oracle name.
+/// Its values are part of every repro file's replay, so they never
+/// change.
+std::uint64_t oracle_stream(const std::string& name);
+
 /// Binomial failure budget for a statistical oracle over `trials`
 /// trials at per-trial failure probability `delta`.
 std::size_t allowed_failures(std::size_t trials, double delta);

@@ -191,6 +191,33 @@ bool fm_feasible(const std::vector<LinearConstraint>& cs, std::size_t dim) {
   return true;
 }
 
+bool fm_bounded(const std::vector<LinearConstraint>& cs, std::size_t dim) {
+  std::vector<LinearConstraint> cone;
+  cone.reserve(cs.size());
+  for (const auto& c : cs) {
+    LinearConstraint h;
+    h.coeffs = c.coeffs;
+    h.coeffs.resize(dim);
+    h.cmp = c.cmp == LinCmp::kEq ? LinCmp::kEq : LinCmp::kLe;
+    cone.push_back(std::move(h));
+  }
+  for (std::size_t v = 0; v < dim; ++v) {
+    // The rows mention d_v..d_{dim-1} only; project the cone on d_v.
+    std::vector<LinearConstraint> proj = fm_simplify(cone);
+    for (std::size_t u = dim; u-- > v + 1;) proj = fm_eliminate(proj, u);
+    bool below = false, above = false;  // d_v >= 0, d_v <= 0 derived
+    for (const auto& c : proj) {
+      const int s = c.coeffs[v].sign();
+      if (s == 0) continue;
+      if (c.cmp == LinCmp::kEq || s > 0) above = true;
+      if (c.cmp == LinCmp::kEq || s < 0) below = true;
+    }
+    if (!below || !above) return !fm_feasible(cs, dim);
+    for (auto& c : cone) c.coeffs[v] = Rational();
+  }
+  return true;
+}
+
 namespace {
 
 // Bounds on x_var from constraints in which every other coefficient is 0.

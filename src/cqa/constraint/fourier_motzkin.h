@@ -38,6 +38,14 @@ std::vector<LinearConstraint> fm_simplify(
 /// Exact feasibility of a conjunction over R^dim (strict-aware).
 bool fm_feasible(const std::vector<LinearConstraint>& cs, std::size_t dim);
 
+/// Whether the solution set over R^dim is bounded (the empty set is).
+/// Decided on the recession cone {d : A d <= 0, E d = 0}: a nonempty set
+/// is bounded iff the cone is {0}, and the cone is {0} iff its
+/// projection on d_0 is {0} and so is its section d_0 = 0, one
+/// coordinate fewer -- dim(dim-1)/2 eliminations of homogeneous rows in
+/// all, where projecting the set on every axis takes dim(dim-1).
+bool fm_bounded(const std::vector<LinearConstraint>& cs, std::size_t dim);
+
 /// A satisfying point if one exists (strict-aware: the point strictly
 /// satisfies every strict constraint).
 std::optional<RVec> fm_sample_point(const std::vector<LinearConstraint>& cs,

@@ -55,12 +55,7 @@ LinearCell LinearCell::intersect_box(const Rational& lo,
 }
 
 bool LinearCell::is_bounded() const {
-  for (std::size_t v = 0; v < dim_; ++v) {
-    AxisInterval iv = project_to_axis(v);
-    if (iv.empty) return true;  // empty cells are (vacuously) bounded
-    if (!iv.lo.has_value() || !iv.hi.has_value()) return false;
-  }
-  return true;
+  return fm_bounded(constraints_, dim_);
 }
 
 std::string LinearCell::to_string() const {

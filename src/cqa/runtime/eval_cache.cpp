@@ -4,6 +4,7 @@
 
 #include "cqa/guard/fault.h"
 #include "cqa/logic/printer.h"
+#include "cqa/util/bincode.h"
 
 namespace cqa {
 
@@ -19,17 +20,8 @@ Counter* metric_or_null(MetricsRegistry* metrics, const char* name) {
 // entry never accidentally verifies.
 constexpr std::uint64_t kChecksumSalt = 0x9e3779b97f4a7c15ULL;
 
-std::uint64_t checksum_string(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL ^ kChecksumSalt;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 std::uint64_t checksum_formula(const FormulaPtr& f) {
-  return checksum_string(to_string(f));
+  return bincode::fnv1a(to_string(f), kChecksumSalt);
 }
 
 std::uint64_t checksum_rational(const Rational& r) {

@@ -23,7 +23,8 @@ Result<Rational> volume_inclusion_exclusion(
       CQA_CHECK(cells[i].dim() == dim);
       for (const auto& c : cells[i].constraints()) inter.add(c);
     }
-    if (!inter.is_feasible()) continue;
+    // An empty intersection comes back as 0 without a separate
+    // feasibility pass.
     auto v = polytope_volume(Polyhedron(inter));
     if (!v.is_ok()) return v;
     if (bits % 2 == 1) {

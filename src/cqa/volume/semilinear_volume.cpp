@@ -225,17 +225,19 @@ Result<Rational> volume_union(std::vector<LinearCell> cells, std::size_t dim,
   }
   if (live.empty()) return Rational(0);
   if (dim == 0) return Rational(1);
-  for (const auto& cell : live) {
-    if (!cell.is_bounded()) {
-      return Status::invalid(
-          "semilinear_volume: unbounded cell (use VOL_I or bound the set)");
-    }
-  }
+  const auto unbounded = [] {
+    return Status::invalid(
+        "semilinear_volume: unbounded cell (use VOL_I or bound the set)");
+  };
+  // polytope_volume proves the cell bounded itself; it fails only then.
+  const auto lasserre = [&](const LinearCell& cell) -> Result<Rational> {
+    if (stats) ++stats->lasserre_calls;
+    auto v = polytope_volume(Polyhedron(cell));
+    if (!v.is_ok()) return unbounded();
+    return v;
+  };
   if (!force_sweep) {
-    if (live.size() == 1) {
-      if (stats) ++stats->lasserre_calls;
-      return polytope_volume(Polyhedron(live[0]));
-    }
+    if (live.size() == 1) return lasserre(live[0]);
     // Pairwise interior-disjoint cells sum exactly (shared boundaries have
     // measure zero).
     bool disjoint = true;
@@ -258,13 +260,15 @@ Result<Rational> volume_union(std::vector<LinearCell> cells, std::size_t dim,
     if (disjoint) {
       Rational total;
       for (const auto& cell : live) {
-        if (stats) ++stats->lasserre_calls;
-        auto v = polytope_volume(Polyhedron(cell));
+        auto v = lasserre(cell);
         if (!v.is_ok()) return v;
         total += v.value();
       }
       return total;
     }
+  }
+  for (const auto& cell : live) {
+    if (!cell.is_bounded()) return unbounded();
   }
   return sweep(live, dim, stats, force_sweep, cancel, meter);
 }

@@ -54,6 +54,14 @@ TEST(DifferentialOracleTest, ExactVsMcWithinDeltaBudget) {
   EXPECT_LE(stats.failed, stats.allowed_failures);
 }
 
+TEST(DifferentialOracleTest, LasserreVsSweepAgrees) {
+  const OracleStats stats = run_one("lasserre_vs_sweep", 200);
+  EXPECT_FALSE(stats.statistical);
+  EXPECT_FALSE(stats.violated) << stats.first_detail;
+  EXPECT_EQ(stats.failed, 0u) << stats.first_detail;
+  EXPECT_GT(stats.passed, 100u);
+}
+
 TEST(DifferentialOracleTest, QeMembershipAgrees) {
   const OracleStats stats = run_one("qe_membership", 200);
   EXPECT_FALSE(stats.violated) << stats.first_detail;
@@ -190,6 +198,12 @@ TEST(RunnerTest, UnknownOracleNamesAreIgnored) {
   const CheckReport report = run_checks(options);
   EXPECT_TRUE(report.oracles.empty());
   EXPECT_TRUE(report.ok());
+}
+
+TEST(RunnerTest, OracleStreamsArePinned) {
+  // Repro files replay through these stream tags; they must never move.
+  EXPECT_EQ(oracle_stream("exact_vs_mc"), 363703651609003761ull);
+  EXPECT_EQ(oracle_stream("lasserre_vs_sweep"), 10504955721931488181ull);
 }
 
 TEST(RunnerTest, FindOracleCoversRegistry) {
