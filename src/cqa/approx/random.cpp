@@ -5,9 +5,6 @@
 namespace cqa {
 
 namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
 // splitmix64 for seeding.
 std::uint64_t splitmix(std::uint64_t* state) {
   std::uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
@@ -20,22 +17,6 @@ std::uint64_t splitmix(std::uint64_t* state) {
 Xoshiro::Xoshiro(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix(&sm);
-}
-
-std::uint64_t Xoshiro::next() {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Xoshiro::uniform() {
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double Xoshiro::uniform(double lo, double hi) {

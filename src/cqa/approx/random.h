@@ -17,9 +17,20 @@ namespace cqa {
 class Xoshiro {
  public:
   explicit Xoshiro(std::uint64_t seed);
-  std::uint64_t next();
+  // Inline: the compiled MC kernel draws one per coordinate.
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
   /// Uniform double in [0, 1).
-  double uniform();
+  double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
   /// Uniform point in [0,1)^dim.
@@ -28,6 +39,10 @@ class Xoshiro {
   double normal();
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

@@ -160,10 +160,11 @@ class ExactVsHitAndRunOracle : public Oracle {
   }
 };
 
-// Theorem 3's two exact engines on one convex cell: the Lasserre
-// recursion (polytope_volume, the single-cell fast path) against the
-// arrangement sweep forced on the same cell, which never calls Lasserre.
-// Exact volume is canonical, so the two rationals must be equal.
+// Theorem 3's exact engines against the arrangement sweep forced on the
+// same input, which never calls Lasserre: per convex cell the Lasserre
+// recursion (polytope_volume), and on the whole multi-cell complement in
+// the box semilinear_volume's inclusion-exclusion over overlapping cells.
+// Exact volume is canonical, so the rationals must be equal.
 class LasserreVsSweepOracle : public Oracle {
  public:
   const char* name() const override { return "lasserre_vs_sweep"; }
@@ -183,13 +184,16 @@ class LasserreVsSweepOracle : public Oracle {
     // The cell of the formula and the cells of its complement in the box
     // (box & !h_i per half-space h_i, each with one strict row): a random
     // conjunction is often empty, its complement seldom is.
-    std::vector<LinearCell> cells;
-    for (const FormulaPtr& f :
-         {g.boxed, Formula::f_and(Formula::f_not(g.core), g.box)}) {
-      auto part = formula_to_cells(f, g.dimension);
-      if (!part.is_ok()) return TrialResult::skip(part.status().to_string());
-      cells.insert(cells.end(), part.value().begin(), part.value().end());
+    auto core = formula_to_cells(g.boxed, g.dimension);
+    if (!core.is_ok()) return TrialResult::skip(core.status().to_string());
+    auto complement = formula_to_cells(
+        Formula::f_and(Formula::f_not(g.core), g.box), g.dimension);
+    if (!complement.is_ok()) {
+      return TrialResult::skip(complement.status().to_string());
     }
+    std::vector<LinearCell> cells = core.value();
+    cells.insert(cells.end(), complement.value().begin(),
+                 complement.value().end());
     if (cells.empty()) return TrialResult::skip("empty denotation");
     for (const LinearCell& cell : cells) {
       auto lasserre = polytope_volume(Polyhedron(cell));
@@ -210,6 +214,17 @@ class LasserreVsSweepOracle : public Oracle {
                                  rat(sweep.value()) + " on " +
                                  cell.to_string());
       }
+    }
+    auto whole = semilinear_volume(complement.value());
+    auto whole_sweep = semilinear_volume_sweep(complement.value());
+    if (!whole.is_ok() || !whole_sweep.is_ok()) {
+      return TrialResult::fail(
+          "complement union failed: " +
+          (whole.is_ok() ? whole_sweep : whole).status().to_string());
+    }
+    if (whole.value() != whole_sweep.value()) {
+      return TrialResult::fail("complement union " + rat(whole.value()) +
+                               " != sweep " + rat(whole_sweep.value()));
     }
     return TrialResult::pass();
   }

@@ -1,6 +1,7 @@
 #include "cqa/volume/semilinear_volume.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "cqa/guard/fault.h"
 #include "cqa/poly/interpolation.h"
@@ -25,20 +26,32 @@ LinearCell drop_var(const LinearCell& cell, std::size_t var) {
   return out;
 }
 
-bool is_full_dimensional(const LinearCell& cell) {
+namespace {
+
+// The interior of a full-dimensional cell: every inequality made strict.
+// Its constant rows are truths (0 <= 0 among them, false once strict) and
+// are dropped; so are its equalities, all of them constant.
+std::vector<LinearConstraint> interior_rows(const LinearCell& cell) {
   std::vector<LinearConstraint> strict;
   strict.reserve(cell.constraints().size());
   for (const auto& c : cell.constraints()) {
-    if (c.cmp == LinCmp::kEq) {
-      if (!c.is_constant()) return false;
-      if (!c.constant_truth()) return false;
-      continue;
-    }
+    if (c.is_constant() || c.cmp == LinCmp::kEq) continue;
     LinearConstraint s = c;
     s.cmp = LinCmp::kLt;
     strict.push_back(std::move(s));
   }
-  return fm_feasible(strict, cell.dim());
+  return strict;
+}
+
+}  // namespace
+
+bool is_full_dimensional(const LinearCell& cell) {
+  for (const auto& c : cell.constraints()) {
+    if (c.is_constant() ? !c.constant_truth() : c.cmp == LinCmp::kEq) {
+      return false;
+    }
+  }
+  return fm_feasible(interior_rows(cell), cell.dim());
 }
 
 namespace {
@@ -203,6 +216,92 @@ Result<Rational> sweep(const std::vector<LinearCell>& cells, std::size_t dim,
   return total;
 }
 
+// Inclusion-exclusion terms a union may take before it falls back to the
+// sweep. k mutually overlapping cells need 2^k - 1 terms, so this admits
+// about eight of them; past it the sweep keeps the cost polynomial in the
+// number of cells (Theorem 3).
+constexpr std::size_t kTermBudget = 256;
+
+Status unbounded_cell() {
+  return Status::invalid(
+      "semilinear_volume: unbounded cell (use VOL_I or bound the set)");
+}
+
+// One inclusion-exclusion term: a clique of cells (ascending indices) and
+// the concatenation of their rows, whose polytope is their intersection.
+struct Term {
+  std::vector<std::size_t> members;
+  LinearCell cell;
+};
+
+// Exact union volume by inclusion-exclusion over the cliques of the cells'
+// interior-overlap graph. Only a clique can meet in positive measure, and
+// a superset of a measure-zero intersection is measure-zero, so only the
+// nonzero terms of one level are extended to the next. Each term is one
+// polytope_volume; it polls `cancel` and charges `meter` one sweep
+// section. nullopt: the union needs more than kTermBudget terms.
+std::optional<Result<Rational>> clique_inclusion_exclusion(
+    const std::vector<LinearCell>& cells, std::size_t dim,
+    VolumeStats* stats, const CancelToken* cancel, guard::WorkMeter* meter) {
+  const std::size_t k = cells.size();
+  if (k > kTermBudget) return std::nullopt;
+  // Every edge is a nonzero pair term, so the edges alone may exceed the
+  // budget before any volume is computed.
+  std::vector<std::vector<LinearConstraint>> interiors;
+  interiors.reserve(k);
+  for (const auto& cell : cells) interiors.push_back(interior_rows(cell));
+  std::vector<std::vector<bool>> adjacent(k, std::vector<bool>(k, false));
+  std::size_t terms = k;
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = i + 1; j < k; ++j) {
+      std::vector<LinearConstraint> both = interiors[i];
+      both.insert(both.end(), interiors[j].begin(), interiors[j].end());
+      if (!fm_feasible(both, dim)) continue;
+      adjacent[i][j] = adjacent[j][i] = true;
+      if (++terms > kTermBudget) return std::nullopt;
+    }
+  }
+  std::vector<Term> level;
+  for (std::size_t i = 0; i < k; ++i) level.push_back({{i}, cells[i]});
+  std::size_t visited = k;
+  Rational total;
+  for (bool odd = true; !level.empty(); odd = !odd) {
+    std::vector<Term> next;
+    for (const Term& term : level) {
+      if (cancel != nullptr) {
+        CQA_RETURN_IF_ERROR(cancel->check());
+      }
+      if (meter != nullptr && !meter->charge_sweep_section()) {
+        return meter->check();
+      }
+      if (stats) ++stats->lasserre_calls;
+      // polytope_volume proves the cell bounded itself and fails only
+      // when it is not; a singleton term is the first to meet each cell.
+      auto v = polytope_volume(Polyhedron(term.cell));
+      if (!v.is_ok()) return unbounded_cell();
+      if (v.value().is_zero()) continue;
+      if (odd) {
+        total += v.value();
+      } else {
+        total -= v.value();
+      }
+      for (std::size_t j = term.members.back() + 1; j < k; ++j) {
+        if (!std::all_of(term.members.begin(), term.members.end(),
+                         [&](std::size_t i) { return adjacent[i][j]; })) {
+          continue;
+        }
+        if (++visited > kTermBudget) return std::nullopt;
+        Term wider = term;
+        wider.members.push_back(j);
+        for (const auto& c : cells[j].constraints()) wider.cell.add(c);
+        next.push_back(std::move(wider));
+      }
+    }
+    level = std::move(next);
+  }
+  return total;
+}
+
 Result<Rational> volume_union(std::vector<LinearCell> cells, std::size_t dim,
                               VolumeStats* stats, bool force_sweep,
                               const CancelToken* cancel,
@@ -225,50 +324,13 @@ Result<Rational> volume_union(std::vector<LinearCell> cells, std::size_t dim,
   }
   if (live.empty()) return Rational(0);
   if (dim == 0) return Rational(1);
-  const auto unbounded = [] {
-    return Status::invalid(
-        "semilinear_volume: unbounded cell (use VOL_I or bound the set)");
-  };
-  // polytope_volume proves the cell bounded itself; it fails only then.
-  const auto lasserre = [&](const LinearCell& cell) -> Result<Rational> {
-    if (stats) ++stats->lasserre_calls;
-    auto v = polytope_volume(Polyhedron(cell));
-    if (!v.is_ok()) return unbounded();
-    return v;
-  };
-  if (!force_sweep) {
-    if (live.size() == 1) return lasserre(live[0]);
-    // Pairwise interior-disjoint cells sum exactly (shared boundaries have
-    // measure zero).
-    bool disjoint = true;
-    for (std::size_t i = 0; i < live.size() && disjoint; ++i) {
-      for (std::size_t j = i + 1; j < live.size() && disjoint; ++j) {
-        std::vector<LinearConstraint> both;
-        for (const auto& c : live[i].constraints()) {
-          LinearConstraint s = c.closure();
-          s.cmp = LinCmp::kLt;
-          both.push_back(std::move(s));
-        }
-        for (const auto& c : live[j].constraints()) {
-          LinearConstraint s = c.closure();
-          s.cmp = LinCmp::kLt;
-          both.push_back(std::move(s));
-        }
-        if (fm_feasible(both, dim)) disjoint = false;
-      }
-    }
-    if (disjoint) {
-      Rational total;
-      for (const auto& cell : live) {
-        auto v = lasserre(cell);
-        if (!v.is_ok()) return v;
-        total += v.value();
-      }
-      return total;
-    }
+  // The 1-D sweep is a plain interval merge, cheaper than any term.
+  if (!force_sweep && dim > 1) {
+    auto v = clique_inclusion_exclusion(live, dim, stats, cancel, meter);
+    if (v) return *std::move(v);
   }
   for (const auto& cell : live) {
-    if (!cell.is_bounded()) return unbounded();
+    if (!cell.is_bounded()) return unbounded_cell();
   }
   return sweep(live, dim, stats, force_sweep, cancel, meter);
 }

@@ -12,6 +12,11 @@
 // exact rational samples (recursing into dimension n-1), and integrate the
 // interpolants exactly. Unions and overlaps cost nothing extra: the
 // recursion bottoms out in 1-D interval merging.
+//
+// semilinear_volume sweeps only as a fallback. It first sums
+// inclusion-exclusion over the cliques of the cells' interior-overlap
+// graph (one Lasserre polytope_volume per term), up to a fixed budget of
+// terms; see semilinear_volume() for the path order.
 
 #ifndef CQA_VOLUME_SEMILINEAR_VOLUME_H_
 #define CQA_VOLUME_SEMILINEAR_VOLUME_H_
@@ -29,24 +34,34 @@ namespace cqa {
 /// Statistics of one exact-volume computation (for the benches).
 struct VolumeStats {
   std::size_t sweep_calls = 0;        // recursive sweep invocations
-  std::size_t lasserre_calls = 0;     // single-polytope fast paths taken
+  std::size_t lasserre_calls = 0;     // inclusion-exclusion terms evaluated
   std::size_t breakpoints = 0;        // total breakpoints enumerated
   std::size_t sections_evaluated = 0; // recursive section evaluations
 };
 
 /// Exact volume of the union of the cells. All cells must share the same
-/// ambient dimension and be bounded (error otherwise). Overlaps are fine.
-/// An expired `cancel` token aborts the sweep between section
-/// evaluations with kCancelled / kDeadlineExceeded; a tripped `meter`
-/// quota (sections evaluated, resident-bytes estimate) aborts the same
-/// way with kResourceExhausted, so a blowing-up sweep stops within one
-/// section of the limit instead of running the whole arrangement.
+/// ambient dimension and be bounded (kInvalidArgument otherwise). Overlaps
+/// are fine. Path order, after cells with empty interior are dropped:
+///  1. In dimension >= 2, inclusion-exclusion over the cliques of the
+///     interior-overlap graph: a term is the Lasserre volume of a clique's
+///     intersection, and only nonzero terms are extended by one more
+///     adjacent cell. A single cell and pairwise interior-disjoint cells
+///     are its 1-clique and no-edge cases.
+///  2. The sweep, when dimension is 1 (an interval merge) or the union
+///     needs more than the fixed term budget (256 terms, about eight
+///     mutually overlapping cells); its sections recurse through 1.
+/// Each term and each section polls `cancel` (kCancelled /
+/// kDeadlineExceeded once expired) and charges `meter` one
+/// `sweep_sections` unit; a tripped quota (sweep sections, resident-bytes
+/// estimate) aborts with kResourceExhausted within one term or section
+/// of the limit instead of running the whole enumeration or arrangement.
 Result<Rational> semilinear_volume(const std::vector<LinearCell>& cells,
                                    VolumeStats* stats = nullptr,
                                    const CancelToken* cancel = nullptr,
                                    guard::WorkMeter* meter = nullptr);
 
-/// Forces the sweep path even where a fast path applies (for ablations).
+/// Forces the sweep at every level, with no inclusion-exclusion term
+/// (for ablations, and the independent check of semilinear_volume).
 Result<Rational> semilinear_volume_sweep(const std::vector<LinearCell>& cells,
                                          VolumeStats* stats = nullptr,
                                          const CancelToken* cancel = nullptr,

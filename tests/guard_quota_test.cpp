@@ -220,17 +220,16 @@ TEST(GuardSession, DefaultQuotasDoNotPerturbNormalAnswers) {
 }
 
 TEST(GuardSession, SweepQuotaTripFallsBackToMonteCarloWithValidBars) {
-  // Exact sweep tripped mid-cell: the ladder's next rung is MC on the
-  // quantifier-free formula, answering kOk + degraded with honest bars.
+  // Exact union tripped mid-computation: the ladder's next rung is MC on
+  // the quantifier-free formula, answering kOk + degraded with honest bars.
   ConstraintDatabase db;
   SessionOptions opts;
   opts.threads = 2;
   Session session(&db, opts);
-  // Two *overlapping* cells: interior-disjoint unions take the
-  // per-polytope sum fast path and never sweep, so the square must
-  // straddle the triangle's hypotenuse to force the sweep (several
-  // x-sections per breakpoint interval) where a one-section ceiling
-  // trips mid-decomposition.
+  // Two *overlapping* cells: the square straddles the triangle's
+  // hypotenuse, so the exact union takes three inclusion-exclusion terms
+  // (both cells and their intersection). Each term charges one sweep
+  // section, so a one-section ceiling trips on the second term.
   Request req = volume_request(
       "(x >= 0 & y >= 0 & x + y <= 1) |"
       " (x >= 1/4 & x <= 3/4 & y >= 1/4 & y <= 3/4)");

@@ -37,6 +37,21 @@ TEST(SemilinearVolume, DisjointUnionAdds) {
   EXPECT_EQ(semilinear_volume(cells).value_or_die(), Rational(3));
 }
 
+TEST(SemilinearVolume, TightConstantRowKeepsTheCell) {
+  // 0 <= 0 holds everywhere; made strict it would empty the interior.
+  LinearCell cell = LinearCell(2).intersect_box(Rational(0), Rational(1));
+  LinearConstraint zero;
+  zero.coeffs = {Rational(0), Rational(0)};
+  zero.rhs = Rational(0);
+  cell.add(zero);
+  EXPECT_TRUE(is_full_dimensional(cell));
+  EXPECT_EQ(semilinear_volume({cell}).value_or_die(), Rational(1));
+  EXPECT_EQ(semilinear_volume_sweep({cell}).value_or_die(), Rational(1));
+  zero.cmp = LinCmp::kLt;
+  cell.add(zero);
+  EXPECT_FALSE(is_full_dimensional(cell));
+}
+
 TEST(SemilinearVolume, OverlappingUnion) {
   // [0,2]x[0,2] union [1,3]x[1,3]: 4 + 4 - 1 = 7.
   auto cells = cells_of(
@@ -247,8 +262,27 @@ TEST(VolumeStats, FastPathsAreTaken) {
       "(1 <= x & x <= 3 & 1 <= y & y <= 3)",
       2);
   semilinear_volume(overlap, &stats2).value_or_die();
-  EXPECT_GE(stats2.sweep_calls, 1u);
-  EXPECT_GT(stats2.breakpoints, 0u);
+  // Overlap is inclusion-exclusion over the one edge: two cells and
+  // their intersection, no sweep.
+  EXPECT_EQ(stats2.lasserre_calls, 3u);
+  EXPECT_EQ(stats2.sweep_calls, 0u);
+
+  // More mutually overlapping cells than the exact path's term budget
+  // (256): the union falls back to the sweep.
+  std::vector<LinearCell> many;
+  const auto squares = cells_of(
+      "(0 <= x & x <= 2 & 0 <= y & y <= 2) | "
+      "(1 <= x & x <= 3 & 1 <= y & y <= 3) | "
+      "(1/2 <= x & x <= 5/2 & 0 <= y & y <= 3)",
+      2);
+  for (int i = 0; i < 100; ++i) {
+    many.insert(many.end(), squares.begin(), squares.end());
+  }
+  VolumeStats stats3;
+  EXPECT_EQ(semilinear_volume(many, &stats3).value_or_die(),
+            semilinear_volume_sweep(squares).value_or_die());
+  EXPECT_GE(stats3.sweep_calls, 1u);
+  EXPECT_GT(stats3.breakpoints, 0u);
 }
 
 }  // namespace
